@@ -1,6 +1,6 @@
 #!/bin/sh
 # The repo's CI gate: formatting, release build (examples and benches
-# included), tests, a bench smoke pass, warning-free workspace-wide
+# included), tests, a benchmark smoke pass, warning-free workspace-wide
 # clippy over every target, and warning-free rustdoc.
 set -eux
 
@@ -9,8 +9,10 @@ cargo build --release
 cargo build --release --examples
 cargo build --release --benches
 cargo test -q
-# Smoke the perf harness end to end (tiny spans, no JSON update).
-cargo bench -p atm-bench --bench simperf -- --test
+# Smoke the benchmark end to end (every workload, layer ledger and
+# correctness law on tiny jobs), then run its unit tests.
+cargo run -q --release --offline --manifest-path atmbench/Cargo.toml -- --test
+cargo test -q --offline --manifest-path atmbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Chaos sweep: the three standard fault plans under three seeds

@@ -23,7 +23,7 @@ use std::fmt;
 /// changes shape — a sealed snapshot is only meaningful to the build
 /// that produced it (checkpoints are in-memory values, not archives),
 /// and the version check turns a cross-build mix-up into a clean error.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit over `bytes` — the stack's standing checksum for
 /// deterministic renderings (no dependencies, stable across platforms).

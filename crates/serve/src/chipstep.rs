@@ -6,30 +6,27 @@
 //! epoch barrier, which chip each request lands on, so the per-chip
 //! serving machinery has to be steppable from the outside.
 //!
-//! [`ChipServer`] is that seam: the managed-chip epoch body of
-//! `ServeSim` (chip-event harvest → supervisor ladder → degradation →
-//! re-posture → dispatch) refactored into an incremental object. The
-//! fleet loop calls [`ChipServer::step_epoch`] once per epoch with the
-//! requests routed to this chip, reads a [`ChipSnapshot`] at the barrier
-//! to drive placement, and finally folds the [`ChipSummary`] into the
-//! fleet report. Every piece of state is integer-valued or
-//! deterministic, so a chip stepped by any worker thread produces the
-//! same bytes.
+//! [`ChipServer`] is that seam. Both front ends run the same chip-side
+//! epoch body (drift → harvest → supervisor ladder → droop step-downs →
+//! re-posture → adapter → regulator, in `epoch.rs`); what `ChipServer`
+//! adds is dispatch of externally routed requests, the chip's account,
+//! and checkpoint/resurrection. The fleet loop calls
+//! [`ChipServer::step_epoch`] once per epoch with the requests routed to
+//! this chip, reads a [`ChipSnapshot`] at the barrier to drive
+//! placement, and finally folds the [`ChipSummary`] into the fleet
+//! report. Every piece of state is integer-valued or deterministic, so a
+//! chip stepped by any worker thread produces the same bytes.
 
-use std::collections::BTreeMap;
-
-use atm_adapt::{AdaptContext, AdaptReport, Adapter, NullAdapter};
-use atm_capping::{
-    CapAction, CapConfig, CapReport, EnergyMeter, EnergyModel, EnergyReport, PowerRegulator,
-};
-use atm_chip::{FailureKind, FaultHook, PStateTable};
-use atm_core::{AtmManager, MarginSupervisor, QosTarget, ServePosture, SupervisorConfig};
+use atm_adapt::{AdaptReport, Adapter};
+use atm_capping::{CapConfig, CapReport, EnergyMeter, EnergyModel, EnergyReport};
+use atm_chip::FaultHook;
+use atm_core::{AtmManager, MarginSupervisor, QosTarget, SupervisorConfig};
 use atm_silicon::DriftModel;
 use atm_telemetry::NullRecorder;
-use atm_units::{AtmError, CoreId, MegaHz, Nanos, ProcId};
+use atm_units::{AtmError, MegaHz, Nanos};
 use atm_workloads::{ServiceProfile, Workload};
 
-use crate::degrade::{DegradationPolicy, DegradeAction};
+use crate::epoch::{ChipEpoch, EpochAction, EpochInput};
 use crate::histogram::LatencyHistogram;
 
 /// Per-chip serving knobs — the subset of [`ServeConfig`](crate::ServeConfig)
@@ -191,34 +188,20 @@ pub struct EpochOutcome {
     pub rejected: Vec<ChipRequest>,
 }
 
-/// The per-chip power-capping state: the regulator, its run report, and
-/// the fleet's per-epoch cap override (when one is pushed in).
-#[derive(Debug, Clone)]
-struct CapState {
-    cfg: CapConfig,
-    regulator: PowerRegulator,
-    report: CapReport,
-    override_mw: Option<u64>,
-}
-
 /// One managed chip, steppable epoch by epoch (see the module docs).
 ///
 /// The `Debug` rendering is exhaustive on purpose: it is the canonical
 /// byte-identity witness the checkpoint machinery checksums, so every
 /// field — all of them integer-valued, ordered maps, or
 /// shortest-roundtrip floats — must appear in it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ChipServer {
-    mgr: AtmManager,
     cfg: ChipServeConfig,
+    /// The shared epoch body (manager, posture, queues, regulator, …).
+    chip: ChipEpoch,
     supervisor: MarginSupervisor,
-    policy: DegradationPolicy,
-    posture: ServePosture,
-    pstates: PStateTable,
-    baseline: MegaHz,
-    /// `(workload, profile)` served by each postured core.
-    core_svc: BTreeMap<CoreId, (Workload, ServiceProfile)>,
-    free_at: BTreeMap<CoreId, u64>,
+    /// Service profiles of the critical, then each background, workload.
+    profiles: Vec<ServiceProfile>,
     crit_hist: LatencyHistogram,
     bg_hist: LatencyHistogram,
     completed: u64,
@@ -226,59 +209,11 @@ pub struct ChipServer {
     critical_completed: u64,
     critical_slo_violations: u64,
     transitions: u64,
-    throttle_extra: usize,
     epoch: u32,
-    /// The online recharacterization seam ([`NullAdapter`] = off).
-    adapter: Box<dyn Adapter>,
-    /// Silicon aging/seasonal drift applied each epoch (`None` = pristine).
-    drift: Option<DriftModel>,
-    /// The power regulator (`None` = uncapped).
-    cap: Option<CapState>,
-    /// The energy integrator (`None` = no energy accounting).
-    meter: Option<EnergyMeter>,
-    /// Chip power measured at this epoch's harvest, integer milliwatts.
-    measured_mw: u64,
-    /// Request service time dispatched this epoch, ns.
-    epoch_busy_ns: u64,
-    /// Requests completed this epoch.
-    epoch_completed: u64,
     /// The epoch this chip hard-failed (`None` = alive). A dead chip
     /// rejects every routed request and skips its harvest until
     /// resurrected.
     dead_since: Option<u32>,
-}
-
-impl Clone for ChipServer {
-    fn clone(&self) -> Self {
-        ChipServer {
-            mgr: self.mgr.clone(),
-            cfg: self.cfg.clone(),
-            supervisor: self.supervisor.clone(),
-            policy: self.policy.clone(),
-            posture: self.posture.clone(),
-            pstates: self.pstates.clone(),
-            baseline: self.baseline,
-            core_svc: self.core_svc.clone(),
-            free_at: self.free_at.clone(),
-            crit_hist: self.crit_hist.clone(),
-            bg_hist: self.bg_hist.clone(),
-            completed: self.completed,
-            shed: self.shed,
-            critical_completed: self.critical_completed,
-            critical_slo_violations: self.critical_slo_violations,
-            transitions: self.transitions,
-            throttle_extra: self.throttle_extra,
-            epoch: self.epoch,
-            adapter: self.adapter.clone_box(),
-            drift: self.drift,
-            cap: self.cap.clone(),
-            meter: self.meter.clone(),
-            measured_mw: self.measured_mw,
-            epoch_busy_ns: self.epoch_busy_ns,
-            epoch_completed: self.epoch_completed,
-            dead_since: self.dead_since,
-        }
-    }
 }
 
 /// A sealed deep copy of a [`ChipServer`] taken at an epoch barrier.
@@ -309,31 +244,19 @@ impl ChipServer {
     ///
     /// Returns [`AtmError::InvalidConfig`] if the config fails
     /// [`ChipServeConfig::check`].
-    pub fn new(mut mgr: AtmManager, cfg: ChipServeConfig) -> Result<Self, AtmError> {
+    pub fn new(mgr: AtmManager, cfg: ChipServeConfig) -> Result<Self, AtmError> {
         cfg.check()?;
-        let baseline = mgr.system().config().pstates.nominal().frequency;
-        let pstates = mgr.system().config().pstates.clone();
-        mgr.system_mut().set_droop_alarm(cfg.droop_alarm);
-        let posture =
-            mgr.serve_posture(&cfg.critical, &cfg.backgrounds, cfg.qos, &mut NullRecorder)?;
-        // Posturing settles and trains predictors; the alarms those runs
-        // raise are calibration noise, not serving-time events.
-        mgr.system_mut().drain_events();
         let mut supervisor = MarginSupervisor::new(cfg.supervisor);
-        supervisor.attach(mgr.system());
-        let core_svc = service_map(&cfg, &posture);
-        let capping = cfg.capping.clone();
-        let energy = cfg.energy;
+        let chip = ChipEpoch::new(mgr, &cfg, Some(&mut supervisor), &mut NullRecorder)?;
+        let profiles = std::iter::once(&cfg.critical)
+            .chain(&cfg.backgrounds)
+            .map(Workload::service_profile)
+            .collect();
         Ok(ChipServer {
-            mgr,
             cfg,
+            chip,
             supervisor,
-            policy: DegradationPolicy::default(),
-            posture,
-            pstates,
-            baseline,
-            core_svc,
-            free_at: BTreeMap::new(),
+            profiles,
             crit_hist: LatencyHistogram::new(),
             bg_hist: LatencyHistogram::new(),
             completed: 0,
@@ -341,45 +264,33 @@ impl ChipServer {
             critical_completed: 0,
             critical_slo_violations: 0,
             transitions: 0,
-            throttle_extra: 0,
             epoch: 0,
-            adapter: Box::new(NullAdapter),
-            drift: None,
-            cap: capping.map(|c| CapState {
-                regulator: PowerRegulator::new(c.regulator),
-                cfg: c,
-                report: CapReport::new(),
-                override_mw: None,
-            }),
-            meter: energy.map(EnergyMeter::new),
-            measured_mw: 0,
-            epoch_busy_ns: 0,
-            epoch_completed: 0,
             dead_since: None,
         })
     }
 
-    /// Installs an online adapter (replacing the default [`NullAdapter`]).
+    /// Installs an online adapter (replacing the default
+    /// [`NullAdapter`](atm_adapt::NullAdapter)).
     pub fn set_adapter(&mut self, adapter: Box<dyn Adapter>) {
-        self.adapter = adapter;
+        self.chip.adapter = adapter;
     }
 
     /// Arms epoch-by-epoch silicon drift (aging + seasonal temperature).
     pub fn set_drift(&mut self, drift: DriftModel) {
-        self.drift = Some(drift);
+        self.chip.drift = Some(drift);
     }
 
     /// The adapter's account, if one is running.
     #[must_use]
     pub fn adapt_report(&self) -> Option<AdaptReport> {
-        self.adapter.report()
+        self.chip.adapter.report()
     }
 
     /// Overrides the cap in force for subsequent epochs, in milliwatts —
     /// the fleet budget's per-epoch split seam. `None` reverts to the
     /// chip's own schedule. Ignored on an uncapped chip.
     pub fn set_epoch_cap_mw(&mut self, cap_mw: Option<u64>) {
-        if let Some(cap) = self.cap.as_mut() {
+        if let Some(cap) = self.chip.cap.as_mut() {
             cap.override_mw = cap_mw;
         }
     }
@@ -387,19 +298,19 @@ impl ChipServer {
     /// The power regulator's account so far, if the chip is capped.
     #[must_use]
     pub fn cap_report(&self) -> Option<&CapReport> {
-        self.cap.as_ref().map(|c| &c.report)
+        self.chip.cap.as_ref().map(|c| &c.report)
     }
 
     /// The energy meter's account so far, if energy accounting is on.
     #[must_use]
     pub fn energy_report(&self) -> Option<EnergyReport> {
-        self.meter.as_ref().map(EnergyMeter::report)
+        self.chip.meter.as_ref().map(EnergyMeter::report)
     }
 
-    /// Steps one serving epoch: harvests chip events at the current
-    /// posture (through `faults` when armed), closes a supervisor window,
-    /// applies the degradation responses, and dispatches `requests` —
-    /// which must be sorted by arrival time — onto the per-core queues.
+    /// Steps one serving epoch: runs the shared chip-side epoch body
+    /// (harvest through `faults` when armed, supervisor ladder, droop
+    /// step-downs, adapter, regulator) and dispatches `requests` — which
+    /// must be sorted by arrival time — onto the per-core queues.
     ///
     /// The caller (the fleet loop) owns the timeline: requests carry
     /// global timestamps and this chip only ever sees the ones routed to
@@ -414,305 +325,92 @@ impl ChipServer {
         requests: &[ChipRequest],
         faults: Option<&mut dyn FaultHook>,
     ) -> EpochOutcome {
-        if self.dead_since.is_some() {
-            self.epoch += 1;
-            return EpochOutcome {
-                rejected: requests.to_vec(),
-            };
-        }
-        if let Some(drift) = self.drift {
-            self.mgr
-                .system_mut()
-                .apply_drift(&drift, u64::from(self.epoch));
-        }
+        let epoch = self.epoch;
+        self.epoch += 1;
         // The epoch boundary on the fleet timeline: the first routed
         // arrival. An empty epoch means every queue has drained relative
         // to any later boundary, so the backlog reads zero either way.
         let now = requests.first().map_or(u64::MAX, |r| r.at);
-        self.harvest_and_degrade(faults, now);
-        if self.dead_since.is_some() {
-            // The harvest trial hit a hard chip failure: this epoch's
-            // batch was never dispatched, so it bounces intact.
-            self.epoch += 1;
+        let actions = self.dead_since.is_none().then(|| {
+            self.chip.step(
+                &self.cfg,
+                EpochInput {
+                    epoch,
+                    now,
+                    supervisor: Some(&mut self.supervisor),
+                    faults,
+                    injected: &[],
+                },
+                &mut NullRecorder,
+            )
+        });
+        let Some(Some(actions)) = actions else {
+            // Dead, or hard-failed in this epoch's harvest: the machine
+            // stays frozen where the abort left it (the account survives
+            // for the final report), the batch was never dispatched so it
+            // bounces intact, and the fleet's failover ladder takes over.
+            self.dead_since.get_or_insert(epoch);
             return EpochOutcome {
                 rejected: requests.to_vec(),
             };
-        }
+        };
+        // Transitions count supervisor actions and droop step-downs.
+        use EpochAction as A;
+        self.transitions += actions
+            .iter()
+            .filter(|a| matches!(a, A::Supervisor(_) | A::ThrottleDown { .. }))
+            .count() as u64;
+        let (mut busy_ns, mut completed) = (0, 0);
         for req in requests {
-            self.dispatch(req);
+            if let Some(service) = self.dispatch(req) {
+                busy_ns += service;
+                completed += 1;
+            }
         }
-        if let Some(meter) = self.meter.as_mut() {
-            let powered = self
-                .posture
-                .core_freqs
-                .iter()
-                .filter(|(_, f)| f.get() > 0.0)
-                .count() as u32;
-            meter.observe_epoch(self.measured_mw, powered, self.epoch_busy_ns);
-            meter.add_requests(self.epoch_completed);
-        }
-        self.epoch_busy_ns = 0;
-        self.epoch_completed = 0;
-        self.epoch += 1;
+        self.chip.close(busy_ns, completed);
         EpochOutcome::default()
     }
 
-    /// The epoch-start chip-in-the-loop body: run a short hardware trial,
-    /// feed the events to the supervisor ladder and the droop policy, and
-    /// re-posture when anything changed.
-    fn harvest_and_degrade(&mut self, faults: Option<&mut dyn FaultHook>, now: u64) {
-        let harvest = match faults {
-            Some(mut hook) => {
-                self.mgr
-                    .system_mut()
-                    .run_faulted(self.cfg.chip_trial, &mut hook, &mut NullRecorder)
+    /// Serves one request on the posture's queues; returns its service
+    /// time, or `None` when it was shed.
+    fn dispatch(&mut self, req: &ChipRequest) -> Option<u64> {
+        let Some(core) = self.chip.route(req.critical, usize::MAX) else {
+            // Whole background tier gated: nothing can serve it.
+            self.shed += 1;
+            return None;
+        };
+        // The critical core hosts the critical workload; the background
+        // cores host the background workloads round-robin in placement
+        // order.
+        let background = &self.chip.posture.placement.background_cores;
+        let (workload, profile) = match background.iter().position(|c| *c == core) {
+            Some(i) => {
+                let i = i % self.cfg.backgrounds.len();
+                (&self.cfg.backgrounds[i], &self.profiles[1 + i])
             }
-            None => self
-                .mgr
-                .system_mut()
-                .run(self.cfg.chip_trial, &mut NullRecorder),
+            None => (&self.cfg.critical, &self.profiles[0]),
         };
-        if harvest
-            .failure
-            .is_some_and(|f| f.kind == FailureKind::ChipHardFail)
-        {
-            // Whole-chip outage: freeze the machine where the abort left
-            // it (the account survives for the final report) and let the
-            // fleet's failover ladder take over.
-            self.dead_since = Some(self.epoch);
-            self.mgr.system_mut().drain_events();
-            return;
-        }
-        self.measured_mw = (harvest.procs[0].mean_power.get() * 1_000.0).round() as u64;
-        let events = self.mgr.system_mut().drain_events();
-
-        let mut needs_replace = false;
-        let mut throttled = false;
-        let mut actions = self
-            .policy
-            .react(&events, self.posture.placement.critical_core);
-        // The supervisor owns the failure ladder; the plain policy keeps
-        // the droop-alarm throttle response.
-        actions.retain(|a| matches!(a, DegradeAction::ThrottleDown { .. }));
-        let sup_actions = self.supervisor.observe_window(self.mgr.system(), &events);
-        let _ = self
-            .mgr
-            .apply_supervisor_actions(&sup_actions, &mut NullRecorder);
-        if !sup_actions.is_empty() {
-            needs_replace = true;
-            self.transitions += sup_actions.len() as u64;
-        }
-        for action in &actions {
-            if let DegradeAction::ThrottleDown { .. } = action {
-                self.throttle_extra += 1;
-                throttled = true;
-                self.transitions += 1;
-            }
-        }
-
-        if needs_replace {
-            self.posture = self
-                .mgr
-                .serve_posture(
-                    &self.cfg.critical,
-                    &self.cfg.backgrounds,
-                    self.cfg.qos,
-                    &mut NullRecorder,
-                )
-                .expect("config validated in new");
-            if self.throttle_extra > 0 {
-                self.apply_extra_throttle();
-            }
-            self.mgr.system_mut().drain_events();
-            self.core_svc = service_map(&self.cfg, &self.posture);
-        } else if throttled {
-            self.apply_extra_throttle();
-            self.mgr.system_mut().drain_events();
-        } else if self.epoch > 0 && self.epoch.is_multiple_of(self.cfg.refresh_every) {
-            self.posture.core_freqs = self.mgr.measure_core_freqs(ProcId::new(0));
-            self.mgr.system_mut().drain_events();
-        }
-
-        if self.adapter.enabled() {
-            self.run_adapter(&harvest, now);
-        }
-
-        self.regulate(!sup_actions.is_empty());
-    }
-
-    /// The regulator's epoch hook: integrate measured power against the
-    /// cap in force, commit or suppress the proposal, and actuate through
-    /// [`AtmManager::apply_cap_levels`] relative to the posture's own
-    /// throttle plan (droop escalations and cap depth compose).
-    ///
-    /// Two suppression rules keep the regulator subordinate:
-    /// a release proposed in the same epoch as a supervisor action is
-    /// vetoed (rollbacks outrank the regulator, so a rolled-back core is
-    /// never re-raised by a cap release), and releases are deferred while
-    /// measured power still exceeds the cap.
-    fn regulate(&mut self, supervisor_fired: bool) {
-        let measured_mw = self.measured_mw;
-        let epoch = self.epoch;
-        let Some(cap) = self.cap.as_mut() else {
-            return;
-        };
-        let cap_mw = cap
-            .override_mw
-            .unwrap_or_else(|| cap.cfg.budget.cap_at(epoch));
-        let action = cap
-            .regulator
-            .propose(measured_mw, cap_mw, &mut NullRecorder);
-        let over_budget = measured_mw > cap_mw;
-        let (committed, suppressed) = match action {
-            CapAction::Release(_) if supervisor_fired || over_budget => (CapAction::Hold, true),
-            a => (a, false),
-        };
-        cap.regulator.commit(committed);
-        cap.report.count_action(committed, suppressed);
-        let depth = cap.regulator.depth();
-        cap.report
-            .push_epoch(cap_mw, measured_mw, depth, cap.regulator.integral_mwe());
-        // Re-apply every epoch the cap binds: re-postures and droop
-        // step-downs reset margin modes, so the depth must be restated on
-        // top of whatever plan is now current.
-        if depth == 0 && matches!(committed, CapAction::Hold) {
-            return;
-        }
-        let Some(base) = self.posture.placement.plan.clone() else {
-            return;
-        };
-        let bg_depth = depth.min(base.setting.rungs_below(&self.pstates));
-        let crit_depth = depth - bg_depth;
-        let critical = self.posture.placement.critical_core;
-        let _ = self
-            .mgr
-            .apply_cap_levels(&base, critical, bg_depth, crit_depth, &mut NullRecorder);
-        self.posture.core_freqs = self.mgr.measure_core_freqs(ProcId::new(0));
-        self.mgr.system_mut().drain_events();
-    }
-
-    /// Runs one epoch of online recharacterization against the harvest
-    /// the degradation ladder just consumed. Re-measures the posture when
-    /// the adapter re-tightened anything.
-    fn run_adapter(&mut self, harvest: &atm_chip::SystemReport, now: u64) {
-        let serving: Vec<CoreId> = self.posture.core_freqs.iter().map(|(c, _)| *c).collect();
-        let critical_core = self.posture.placement.critical_core;
-        let idle: Vec<CoreId> = self
-            .posture
-            .placement
-            .background_cores
-            .iter()
-            .filter(|c| self.free_at.get(c).copied().unwrap_or(0) <= now)
-            .copied()
-            .collect();
-        let blocked: std::collections::BTreeSet<CoreId> = serving
-            .iter()
-            .filter(|c| {
-                self.supervisor.on_probation(**c)
-                    || self.mgr.safe_mode_cores().contains(c)
-                    || self.mgr.quarantined_cores().contains(c)
-            })
-            .copied()
-            .collect();
-        let backlog_ns = self
-            .free_at
-            .values()
-            .map(|f| f.saturating_sub(now))
-            .sum::<u64>();
-        let changed = self.adapter.on_epoch(AdaptContext {
-            mgr: &mut self.mgr,
-            harvest,
-            epoch: u64::from(self.epoch),
-            backlog_ns,
-            serving: &serving,
-            idle: &idle,
-            critical_core,
-            blocked: &blocked,
-        });
-        if changed {
-            self.posture.core_freqs = self.mgr.measure_core_freqs(ProcId::new(0));
-        }
-        self.mgr.system_mut().drain_events();
-    }
-
-    /// Steps the posture's background throttle further down the ladder
-    /// (mirrors the `ServeSim` response to droop-alarm storms).
-    fn apply_extra_throttle(&mut self) {
-        let Some(mut plan) = self.posture.placement.plan.clone() else {
-            return;
-        };
-        for _ in 0..self.throttle_extra {
-            match plan.step_down(&self.pstates) {
-                Some(next) => plan = next,
-                None => break,
-            }
-        }
-        plan.apply(self.mgr.system_mut());
-        self.posture.placement.plan = Some(plan);
-        self.posture.core_freqs = self.mgr.measure_core_freqs(ProcId::new(0));
-    }
-
-    /// Serves one request on the posture's queues.
-    fn dispatch(&mut self, req: &ChipRequest) {
-        let core = if req.critical {
-            self.posture.placement.critical_core
-        } else {
-            let live = self
-                .posture
-                .placement
-                .background_cores
-                .iter()
-                .filter(|c| self.posture.freq_of(**c).get() > 0.0)
-                .min_by_key(|c| (self.free_at.get(c).copied().unwrap_or(0), c.flat_index()))
-                .copied();
-            match live {
-                Some(c) => c,
-                None => {
-                    // Whole background tier gated: nothing can serve it.
-                    self.shed += 1;
-                    return;
-                }
-            }
-        };
-        let freq = self.posture.freq_of(core);
-        let (workload, profile) = self
-            .core_svc
-            .get(&core)
-            .unwrap_or_else(|| self.core_svc.first_key_value().expect("postured cores").1);
-        let service = profile
-            .sample(workload, freq, self.baseline, req.draw)
-            .get()
-            .round()
-            .max(1.0) as u64;
-        let start = req.at.max(self.free_at.get(&core).copied().unwrap_or(0));
-        let finish = start + service;
-        self.free_at.insert(core, finish);
+        let (service, finish) = self.chip.serve(core, req, workload, profile);
         let latency = finish - req.at;
         self.completed += 1;
-        self.epoch_busy_ns += service;
-        self.epoch_completed += 1;
         if req.critical {
             self.crit_hist.record(latency);
             self.critical_completed += 1;
             if self.cfg.critical_slo_ns > 0 && latency > self.cfg.critical_slo_ns {
                 self.critical_slo_violations += 1;
             }
-            if self.adapter.enabled() {
-                let freq_khz = (freq.get() * 1_000.0).round() as u64;
-                let baseline_khz = (self.baseline.get() * 1_000.0).round() as u64;
-                self.adapter
-                    .on_service(workload.name(), freq_khz, baseline_khz, service);
-            }
         } else {
             self.bg_hist.record(latency);
         }
+        Some(service)
     }
 
     /// The barrier-time view the fleet router places traffic with.
     #[must_use]
     pub fn snapshot(&self, now: u64) -> ChipSnapshot {
-        let excluded = self.mgr.supervisor_excluded();
+        let excluded = self.chip.mgr.supervisor_excluded();
         let fastest = self
+            .chip
             .posture
             .core_freqs
             .iter()
@@ -720,21 +418,17 @@ impl ChipServer {
             .map(|(_, f)| f.get().round() as u64)
             .max()
             .unwrap_or(0);
-        let backlog = self
-            .free_at
-            .values()
-            .map(|f| f.saturating_sub(now))
-            .sum::<u64>();
+
         let mut min_health = 100;
-        for (core, _) in &self.posture.core_freqs {
+        for (core, _) in &self.chip.posture.core_freqs {
             min_health = min_health.min(self.supervisor.health(*core));
         }
         ChipSnapshot {
             alive: self.dead_since.is_none(),
             fastest_healthy_mhz: fastest,
-            backlog_ns: backlog,
-            quarantined: self.mgr.quarantined_cores().len() as u32,
-            safe_mode: self.mgr.safe_mode_cores().len() as u32,
+            backlog_ns: self.chip.backlog_ns(now),
+            quarantined: self.chip.mgr.quarantined_cores().len() as u32,
+            safe_mode: self.chip.mgr.safe_mode_cores().len() as u32,
             min_health,
         }
     }
@@ -785,27 +479,9 @@ impl ChipServer {
     /// probation window before trusting the chip with critical traffic.
     pub fn resurrect_from(&mut self, cp: &ChipServerCheckpoint) {
         let machine = cp.state.clone();
-        self.mgr = machine.mgr;
         self.cfg = machine.cfg;
+        self.chip.resurrect_from(machine.chip);
         self.supervisor = machine.supervisor;
-        self.policy = machine.policy;
-        self.posture = machine.posture;
-        self.pstates = machine.pstates;
-        self.baseline = machine.baseline;
-        self.core_svc = machine.core_svc;
-        self.adapter = machine.adapter;
-        self.drift = machine.drift;
-        self.throttle_extra = machine.throttle_extra;
-        // The regulator's control state (integral, depth) rewinds with
-        // the machine; its report stays cumulative with the account.
-        if let (Some(cur), Some(old)) = (self.cap.as_mut(), machine.cap) {
-            cur.cfg = old.cfg;
-            cur.regulator = old.regulator;
-        }
-        self.free_at.clear();
-        self.measured_mw = 0;
-        self.epoch_busy_ns = 0;
-        self.epoch_completed = 0;
         self.dead_since = None;
     }
 
@@ -838,41 +514,27 @@ impl ChipServer {
             quarantined: snap.quarantined,
             safe_mode: snap.safe_mode,
             fastest_healthy_mhz: snap.fastest_healthy_mhz,
-            cap: self.cap.as_ref().map(|c| c.report.clone()),
+            cap: self.cap_report().cloned(),
             energy: self.energy_report(),
         }
     }
 }
 
-/// Maps each postured core to the workload (and service profile) it
-/// hosts: the critical core to the critical workload, background cores to
-/// the round-robin background assignment `serve_posture` made.
-fn service_map(
-    cfg: &ChipServeConfig,
-    posture: &ServePosture,
-) -> BTreeMap<CoreId, (Workload, ServiceProfile)> {
-    let mut map = BTreeMap::new();
-    map.insert(
-        posture.placement.critical_core,
-        (cfg.critical.clone(), cfg.critical.service_profile()),
-    );
-    for (i, core) in posture.placement.background_cores.iter().enumerate() {
-        let w = cfg.backgrounds[i % cfg.backgrounds.len()].clone();
-        let p = w.service_profile();
-        map.insert(*core, (w, p));
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atm_chip::{ChipConfig, System};
+    use atm_capping::PowerBudget;
+    use atm_chip::{ChipConfig, FailureKind, FaultAction, System};
     use atm_core::charact::CharactConfig;
     use atm_core::Governor;
+    use atm_units::CoreId;
     use atm_workloads::by_name;
 
     fn server(seed: u64) -> ChipServer {
+        capped_server(seed, None)
+    }
+
+    fn capped_server(seed: u64, capping: Option<CapConfig>) -> ChipServer {
         let sys = System::new(ChipConfig::power7_plus(seed));
         let mgr = AtmManager::deploy(
             sys,
@@ -883,10 +545,13 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let cfg = ChipServeConfig::standard(
-            by_name("squeezenet").unwrap().clone(),
-            vec![by_name("x264").unwrap().clone()],
-        );
+        let cfg = ChipServeConfig {
+            capping,
+            ..ChipServeConfig::standard(
+                by_name("squeezenet").unwrap().clone(),
+                vec![by_name("x264").unwrap().clone()],
+            )
+        };
         ChipServer::new(mgr, cfg).unwrap()
     }
 
@@ -947,8 +612,6 @@ mod tests {
 
     #[test]
     fn hard_fail_bounces_batches_and_resurrection_keeps_the_account() {
-        use atm_chip::FaultAction;
-
         struct Killer;
         impl FaultHook for Killer {
             fn armed(&self) -> bool {
@@ -990,6 +653,67 @@ mod tests {
         let out = srv.step_epoch(&traffic(3, 1_000_000), None);
         assert!(out.rejected.is_empty());
         assert!(srv.summary().completed > completed_before);
+    }
+
+    /// Forces a timing failure on `core` at the first tick of the trial.
+    struct FailOnce(CoreId);
+
+    impl FaultHook for FailOnce {
+        fn armed(&self) -> bool {
+            true
+        }
+        fn on_tick(&mut self, _now: Nanos, tick: u64, out: &mut Vec<FaultAction>) {
+            if tick == 0 {
+                out.push(FaultAction::ForceFailure {
+                    core: self.0,
+                    kind: FailureKind::SystemCrash,
+                });
+            }
+        }
+    }
+
+    /// Supervisor rollbacks outrank the regulator on the fleet path too:
+    /// the cap loosens in exactly the epoch a rollback fires, so the
+    /// regulator proposes a release there — which is suppressed, and the
+    /// depth does not drop in that epoch.
+    #[test]
+    fn cap_release_in_a_supervisor_rollback_epoch_is_suppressed() {
+        const FAIL_EPOCH: u64 = 6;
+        let capped = |budget| capped_server(42, Some(CapConfig::standard(budget)));
+        let mut probe = capped(PowerBudget::unlimited());
+        let _ = probe.step_epoch(&traffic(0, 1_000_000), None);
+        let base_mw = probe.cap_report().unwrap().power_mw[0];
+
+        let mut srv = capped(PowerBudget::steady(base_mw * 7 / 10));
+        for e in 0..FAIL_EPOCH {
+            let _ = srv.step_epoch(&traffic(e, 1_000_000), None);
+        }
+        let before = srv.cap_report().unwrap().clone();
+        assert!(
+            before.final_depth > 0,
+            "the tight cap never wound up depth: {before}"
+        );
+        let transitions = srv.summary().transitions;
+        srv.set_epoch_cap_mw(Some(base_mw * 2));
+        let critical = srv.chip.posture.placement.critical_core;
+        let _ = srv.step_epoch(
+            &traffic(FAIL_EPOCH, 1_000_000),
+            Some(&mut FailOnce(critical)),
+        );
+        let after = srv.cap_report().unwrap();
+        assert!(
+            srv.summary().transitions > transitions,
+            "the forced failure must fire the supervisor"
+        );
+        assert!(
+            after.releases_suppressed > before.releases_suppressed,
+            "the loosened cap must have proposed a release to suppress: {after}"
+        );
+        assert!(
+            after.final_depth >= before.final_depth,
+            "the regulator released in the rollback epoch: {:?}",
+            after.depth
+        );
     }
 
     #[test]

@@ -64,6 +64,7 @@ pub mod arrival;
 mod chipstep;
 mod config;
 mod degrade;
+mod epoch;
 mod histogram;
 mod report;
 mod sim;

@@ -5,9 +5,11 @@
 //! fastest core, backgrounds backfilled and throttled to the QoS power
 //! budget), and a discrete-event loop dispatches seeded arrivals onto
 //! per-core FIFO queues whose service rates follow the cores' settled
-//! frequencies. Each epoch the chip simulation runs briefly to harvest
-//! [`ChipEvent`]s; the [`DegradationPolicy`] turns failures and droop
-//! alarms into CPM rollbacks, critical re-placement, and background
+//! frequencies. Each epoch runs the chip-side serving epoch it shares
+//! with [`ChipServer`](crate::ChipServer): the chip simulation runs
+//! briefly to harvest [`ChipEvent`](atm_chip::ChipEvent)s, and the
+//! [`DegradationPolicy`] (or an attached supervisor) turns failures and
+//! droop alarms into CPM rollbacks, critical re-placement, and background
 //! throttling, all recorded in the final [`ServeReport`].
 //!
 //! Everything is a pure function of the seeds: arrivals are pre-generated
@@ -16,30 +18,30 @@
 //! carries only integers, so a fixed seed yields a byte-identical
 //! [`ServeReport`] on every run.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use atm_adapt::{AdaptContext, Adapter, NullAdapter};
-use atm_capping::{CapAction, CapConfig, CapReport, EnergyMeter, EnergyModel, PowerRegulator};
-use atm_chip::{ChipEvent, FailureEvent, FailureKind, FaultHook, PStateTable};
-use atm_core::{AtmManager, MarginSupervisor, ServePosture, SupervisorAction};
+use atm_adapt::{Adapter, NullAdapter};
+use atm_capping::{CapConfig, EnergyModel};
+use atm_chip::{FailureEvent, FailureKind, FaultHook};
+use atm_core::{AtmManager, MarginSupervisor, SupervisorConfig};
 use atm_silicon::DriftModel;
 use atm_telemetry::{AdmissionDecision, AdmissionVerdict, Recorder, SimTime, TelemetryEvent};
-use atm_units::{AtmError, CoreId, Nanos, ProcId};
+use atm_units::{AtmError, CoreId, Nanos};
 use atm_workloads::{ServiceProfile, Workload};
 
 use crate::admission::Admission;
 use crate::arrival;
+use crate::chipstep::{ChipRequest, ChipServeConfig};
 use crate::config::ServeConfig;
-use crate::degrade::{DegradationPolicy, DegradeAction};
+use crate::degrade::DegradationPolicy;
+use crate::epoch::{ChipEpoch, EpochInput};
 use crate::histogram::LatencyHistogram;
 use crate::report::{ServeReport, StreamStats, Transition};
 use crate::stream::{StreamClass, StreamSpec};
 
-/// A request awaiting dispatch (fresh or deferred). Ordered by
-/// `(time, stream, seq)` so the pending heap pops deterministically; the
-/// service draw rides along unordered.
+/// A request awaiting dispatch (fresh or deferred), keyed in the pending
+/// queue by `(time, stream, seq)` so it pops deterministically.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     time: u64,
@@ -56,26 +58,8 @@ impl Pending {
     }
 }
 
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other.key().cmp(&self.key())
-    }
-}
-
 /// Running per-stream accounting.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StreamState {
     offered: u64,
     completed: u64,
@@ -88,35 +72,19 @@ struct StreamState {
     epoch_p99: Vec<u64>,
 }
 
-impl StreamState {
-    fn new() -> Self {
-        StreamState {
-            offered: 0,
-            completed: 0,
-            shed: 0,
-            deferred: 0,
-            slo_violations: 0,
-            max_queue_depth: 0,
-            hist: LatencyHistogram::new(),
-            epoch_hist: LatencyHistogram::new(),
-            epoch_p99: Vec::new(),
-        }
-    }
-}
-
 /// The serving simulator. Consumed by [`ServeSim::run`].
 pub struct ServeSim {
     mgr: AtmManager,
     cfg: ServeConfig,
     streams: Vec<StreamSpec>,
+    /// The chip-side config derived from `cfg` and `streams`.
+    chip: ChipServeConfig,
     policy: DegradationPolicy,
     supervisor: Option<MarginSupervisor>,
     faults: Option<Box<dyn FaultHook>>,
-    injected: Vec<(u32, FailureEvent)>,
+    injected: BTreeMap<u32, Vec<FailureEvent>>,
     adapter: Box<dyn Adapter>,
     drift: Option<DriftModel>,
-    capping: Option<CapConfig>,
-    energy: Option<EnergyModel>,
 }
 
 impl fmt::Debug for ServeSim {
@@ -125,6 +93,7 @@ impl fmt::Debug for ServeSim {
             .field("mgr", &self.mgr)
             .field("cfg", &self.cfg)
             .field("streams", &self.streams)
+            .field("chip", &self.chip)
             .field("policy", &self.policy)
             .field("supervisor", &self.supervisor)
             .field("faults_armed", &self.faults.as_ref().map(|h| h.armed()))
@@ -149,34 +118,49 @@ impl ServeSim {
         streams: Vec<StreamSpec>,
     ) -> Result<Self, AtmError> {
         cfg.check()?;
-        let criticals = streams
-            .iter()
-            .filter(|s| s.class == StreamClass::Critical)
-            .count();
-        if criticals != 1 {
+        let mut criticals = streams.iter().filter(|s| s.class == StreamClass::Critical);
+        let (Some(critical), None) = (criticals.next(), criticals.next()) else {
             return Err(AtmError::invalid_config(
                 "streams",
                 "need exactly one critical stream",
             ));
-        }
-        if streams.len() == criticals {
+        };
+        let backgrounds: Vec<Workload> = streams
+            .iter()
+            .filter(|s| s.class == StreamClass::Background)
+            .map(|s| s.workload.clone())
+            .collect();
+        if backgrounds.is_empty() {
             return Err(AtmError::invalid_config(
                 "streams",
                 "need at least one background stream",
             ));
         }
+        // The chip side of the run. `ServeSim` brings its own (optional)
+        // supervisor, so the config's supervisor thresholds go unused.
+        let chip = ChipServeConfig {
+            critical: critical.workload.clone(),
+            backgrounds,
+            qos: cfg.qos,
+            droop_alarm: cfg.droop_alarm,
+            chip_trial: cfg.chip_trial,
+            critical_slo_ns: critical.slo_ns,
+            refresh_every: cfg.refresh_every,
+            supervisor: SupervisorConfig::default(),
+            capping: None,
+            energy: Some(EnergyModel::standard(cfg.epoch_ns)),
+        };
         Ok(ServeSim {
             mgr,
             cfg,
             streams,
+            chip,
             policy: DegradationPolicy::default(),
             supervisor: None,
             faults: None,
-            injected: Vec::new(),
+            injected: BTreeMap::new(),
             adapter: Box::new(NullAdapter),
             drift: None,
-            capping: None,
-            energy: None,
         })
     }
 
@@ -193,7 +177,7 @@ impl ServeSim {
     /// [`CapConfig::check`].
     pub fn set_cap(&mut self, cap: CapConfig) -> Result<(), AtmError> {
         cap.check()?;
-        self.capping = Some(cap);
+        self.chip.capping = Some(cap);
         Ok(())
     }
 
@@ -206,7 +190,7 @@ impl ServeSim {
     /// [`EnergyModel::check`].
     pub fn set_energy_model(&mut self, model: EnergyModel) -> Result<(), AtmError> {
         model.check()?;
-        self.energy = Some(model);
+        self.chip.energy = Some(model);
         Ok(())
     }
 
@@ -255,16 +239,15 @@ impl ServeSim {
 
     /// Schedules a synthetic timing failure on `core`, delivered with the
     /// chip events of epoch `epoch` — the test hook for exercising the
-    /// degradation path on demand.
+    /// degradation path on demand. A [`FailureKind::ChipHardFail`] kills
+    /// the chip, as one raised by the harvest trial does (see
+    /// [`ServeSim::run`]).
     pub fn inject_failure(&mut self, epoch: u32, core: CoreId, kind: FailureKind) {
-        self.injected.push((
-            epoch,
-            FailureEvent {
-                core,
-                kind,
-                at: Nanos::ZERO,
-            },
-        ));
+        self.injected.entry(epoch).or_default().push(FailureEvent {
+            core,
+            kind,
+            at: Nanos::ZERO,
+        });
     }
 
     /// Runs the full serving trace, pre-generating arrivals on up to
@@ -276,261 +259,87 @@ impl ServeSim {
     /// [`&mut NullRecorder`](atm_telemetry::NullRecorder) for the zero-overhead
     /// unrecorded path — the report is identical either way.
     ///
+    /// A whole-chip hard fail ends service: from the epoch it strikes,
+    /// nothing is dispatched and every request counts as shed.
+    ///
     /// # Panics
     ///
     /// Panics if `workers` is zero.
     #[must_use]
     pub fn run<R: Recorder>(self, workers: usize, rec: &mut R) -> ServeReport {
         // Disassemble the simulator up front: the manager needs exclusive
-        // mutable access through the whole trace, so the config and stream
-        // specs move into locals and are borrowed from there — no per-run
-        // clones of the config or the critical spec.
+        // mutable access through the whole trace, so the configs and
+        // stream specs move into locals and are borrowed from there.
         let ServeSim {
-            mut mgr,
+            mgr,
             cfg,
             streams,
+            chip: chip_cfg,
             policy,
             mut supervisor,
             mut faults,
             injected,
-            mut adapter,
+            adapter,
             drift,
-            capping,
-            energy,
         } = self;
-        let proc = ProcId::new(0);
-        let baseline = mgr.system().config().pstates.nominal().frequency;
-        // The p-state table is still owned by the system while `mgr` is
-        // borrowed mutably at every throttle step, so one copy per run.
-        let pstates = mgr.system().config().pstates.clone();
         let horizon = u64::from(cfg.epochs) * cfg.epoch_ns;
 
         let crit_idx = streams
             .iter()
             .position(|s| s.class == StreamClass::Critical)
             .expect("checked in new");
-        let critical_spec = &streams[crit_idx];
-        let backgrounds: Vec<Workload> = streams
-            .iter()
-            .filter(|s| s.class == StreamClass::Background)
-            .map(|s| s.workload.clone())
-            .collect();
         let profiles: Vec<ServiceProfile> = streams
             .iter()
             .map(|s| s.workload.service_profile())
             .collect();
-        let crit_slo = critical_spec.slo_ns;
-
-        mgr.system_mut().set_droop_alarm(cfg.droop_alarm);
-        let mut posture = mgr
-            .serve_posture(&critical_spec.workload, &backgrounds, cfg.qos, rec)
+        let crit_slo = chip_cfg.critical_slo_ns;
+        let mut chip = ChipEpoch::new(mgr, &chip_cfg, supervisor.as_mut(), rec)
             .expect("streams validated in new");
-        // Posturing itself settles and trains predictors; the alarms those
-        // runs raise are calibration noise, not serving-time events.
-        mgr.system_mut().drain_events();
-        if let Some(sup) = supervisor.as_mut() {
-            sup.attach(mgr.system());
-        }
-        let mut throttle_extra: usize = 0;
-        let mut meter =
-            EnergyMeter::new(energy.unwrap_or_else(|| EnergyModel::standard(cfg.epoch_ns)));
-        let mut cap = capping.map(|c| (PowerRegulator::new(c.regulator), c, CapReport::new()));
+        chip.policy = policy;
+        chip.adapter = adapter;
+        chip.drift = drift;
+        let bg_cap = cfg
+            .serving_cores
+            .map_or(usize::MAX, |n| (n as usize).saturating_sub(1));
 
         let arrivals = arrival::generate_all(&streams, cfg.seed, horizon, workers);
         let mut next_arrival = 0usize;
-        let mut pending: BinaryHeap<Pending> = BinaryHeap::new();
+        let mut pending: BTreeMap<(u64, usize, u32), Pending> = BTreeMap::new();
 
-        let mut states: Vec<StreamState> = streams.iter().map(|_| StreamState::new()).collect();
-        let mut free_at: BTreeMap<CoreId, u64> = BTreeMap::new();
+        let mut states: Vec<StreamState> = streams.iter().map(|_| StreamState::default()).collect();
         let mut finishes: BTreeMap<CoreId, Vec<u64>> = BTreeMap::new();
         let mut transitions: Vec<Transition> = Vec::new();
-        let mut action_texts: Vec<String> = Vec::new();
+        // A chip hard-fail ends service: from that epoch on every request
+        // is shed.
+        let mut dead = false;
 
         for epoch in 0..cfg.epochs {
             let epoch_start = u64::from(epoch) * cfg.epoch_ns;
             let epoch_end = u64::from(epoch + 1) * cfg.epoch_ns;
 
-            if let Some(d) = drift {
-                mgr.system_mut().apply_drift(&d, u64::from(epoch));
-            }
-
-            // Harvest chip events at the current posture, plus injections.
-            let harvest = match faults.as_deref_mut() {
-                Some(mut hook) => mgr.system_mut().run_faulted(cfg.chip_trial, &mut hook, rec),
-                None => mgr.system_mut().run(cfg.chip_trial, rec),
-            };
-            let measured_mw = (harvest.procs[0].mean_power.get() * 1_000.0).round() as u64;
-            let mut events = mgr.system_mut().drain_events();
-            for (e, f) in &injected {
-                if *e == epoch {
-                    events.push(ChipEvent::Failure(*f));
-                }
-            }
-
-            let mut needs_replace = false;
-            let mut throttled = false;
-            let mut rollback_fired = false;
-            let mut epoch_busy_ns: u64 = 0;
-            let mut epoch_completed: u64 = 0;
-
-            // The supervisor (when attached) owns the failure ladder; the
-            // plain policy keeps the droop-alarm throttle response.
-            let mut actions = policy.react(&events, posture.placement.critical_core);
-            if let Some(sup) = supervisor.as_mut() {
-                actions.retain(|a| matches!(a, DegradeAction::ThrottleDown { .. }));
-                let sup_actions = sup.observe_window(mgr.system(), &events);
-                let _ = mgr.apply_supervisor_actions(&sup_actions, rec);
-                if !sup_actions.is_empty() {
-                    needs_replace = true;
-                    rollback_fired = true;
-                }
-                for a in &sup_actions {
-                    action_texts.push(match a {
-                        SupervisorAction::Rollback { core, steps } => {
-                            format!("supervisor rollback {core} by {steps}")
-                        }
-                        SupervisorAction::Reprobe { core, steps } => {
-                            format!("supervisor re-probe {core} by {steps}")
-                        }
-                        SupervisorAction::SafeMode { core } => {
-                            format!("supervisor safe mode {core}")
-                        }
-                        SupervisorAction::Quarantine { core } => {
-                            format!("supervisor quarantine {core}")
-                        }
-                    });
-                }
-            }
-            for action in &actions {
-                match action {
-                    DegradeAction::Rollback { core, cause } => {
-                        let red = mgr.rollback_core(*core, 1, rec);
-                        needs_replace = true;
-                        rollback_fired = true;
-                        action_texts.push(format!("rollback {core} to reduction {red} ({cause})"));
-                    }
-                    DegradeAction::ThrottleDown { core } => {
-                        throttle_extra += 1;
-                        throttled = true;
-                        rec.incr("serve.throttle_stepdowns", 1);
-                        action_texts.push(format!(
-                            "background throttle step-down (droop alarms on {core})"
-                        ));
-                    }
-                }
-            }
-
-            if needs_replace {
-                posture = mgr
-                    .serve_posture(&critical_spec.workload, &backgrounds, cfg.qos, rec)
-                    .expect("streams validated in new");
-                if throttle_extra > 0 {
-                    apply_extra_throttle(&mut mgr, &mut posture, throttle_extra, &pstates, proc);
-                }
-                mgr.system_mut().drain_events();
-            } else if throttled {
-                apply_extra_throttle(&mut mgr, &mut posture, throttle_extra, &pstates, proc);
-                mgr.system_mut().drain_events();
-            } else if epoch > 0 && epoch % cfg.refresh_every == 0 {
-                posture.core_freqs = mgr.measure_core_freqs(proc);
-                mgr.system_mut().drain_events();
-            }
-
-            if adapter.enabled() {
-                let serving: Vec<CoreId> = posture.core_freqs.iter().map(|(c, _)| *c).collect();
-                let idle: Vec<CoreId> = posture
-                    .placement
-                    .background_cores
-                    .iter()
-                    .filter(|c| free_at.get(c).copied().unwrap_or(0) <= epoch_start)
-                    .copied()
-                    .collect();
-                let blocked: std::collections::BTreeSet<CoreId> = serving
-                    .iter()
-                    .filter(|c| {
-                        supervisor.as_ref().is_some_and(|s| s.on_probation(**c))
-                            || mgr.safe_mode_cores().contains(c)
-                            || mgr.quarantined_cores().contains(c)
-                    })
-                    .copied()
-                    .collect();
-                let backlog_ns = free_at
-                    .values()
-                    .map(|f| f.saturating_sub(epoch_start))
-                    .sum::<u64>();
-                let changed = adapter.on_epoch(AdaptContext {
-                    mgr: &mut mgr,
-                    harvest: &harvest,
-                    epoch: u64::from(epoch),
-                    backlog_ns,
-                    serving: &serving,
-                    idle: &idle,
-                    critical_core: posture.placement.critical_core,
-                    blocked: &blocked,
-                });
-                if changed {
-                    posture.core_freqs = mgr.measure_core_freqs(proc);
-                    action_texts.push(String::from("adapter re-tighten"));
-                }
-                mgr.system_mut().drain_events();
-            }
-
-            // The power regulator gets the last word on margin modes:
-            // integrate this epoch's measured power against the cap in
-            // force, commit or suppress the proposal (rollbacks outrank,
-            // releases wait until the chip is back under budget), and
-            // restate the committed depth on top of whatever throttle
-            // plan the droop ladder left current.
-            if let Some((regulator, cap_cfg, cap_report)) = cap.as_mut() {
-                let cap_mw = cap_cfg.budget.cap_at(epoch);
-                let action = regulator.propose(measured_mw, cap_mw, rec);
-                let over_budget = measured_mw > cap_mw;
-                let (committed, suppressed) = match action {
-                    CapAction::Release(_) if rollback_fired || over_budget => {
-                        (CapAction::Hold, true)
-                    }
-                    a => (a, false),
-                };
-                regulator.commit(committed);
-                cap_report.count_action(committed, suppressed);
-                let depth = regulator.depth();
-                cap_report.push_epoch(cap_mw, measured_mw, depth, regulator.integral_mwe());
-                match committed {
-                    CapAction::Throttle(n) => {
-                        action_texts.push(format!("cap throttle {n} to depth {depth}"));
-                    }
-                    CapAction::Release(n) => {
-                        action_texts.push(format!("cap release {n} to depth {depth}"));
-                    }
-                    CapAction::Hold => {}
-                }
-                if depth > 0 || !matches!(committed, CapAction::Hold) {
-                    if let Some(base) = posture.placement.plan.clone() {
-                        let bg_depth = depth.min(base.setting.rungs_below(&pstates));
-                        let crit_depth = depth - bg_depth;
-                        let _ = mgr.apply_cap_levels(
-                            &base,
-                            posture.placement.critical_core,
-                            bg_depth,
-                            crit_depth,
-                            rec,
-                        );
-                        posture.core_freqs = mgr.measure_core_freqs(proc);
-                        mgr.system_mut().drain_events();
-                    }
-                }
-            }
-            for text in action_texts.drain(..) {
-                transitions.push(Transition {
+            if !dead {
+                let actions = chip.step(
+                    &chip_cfg,
+                    EpochInput {
+                        epoch,
+                        now: epoch_start,
+                        supervisor: supervisor.as_mut(),
+                        faults: faults.as_deref_mut(),
+                        injected: injected.get(&epoch).map_or(&[], Vec::as_slice),
+                    },
+                    rec,
+                );
+                dead = actions.is_none();
+                let critical_core = chip.posture.placement.critical_core;
+                let critical_freq_mhz = chip.posture.freq_of(critical_core).get().round() as u64;
+                transitions.extend(actions.iter().flatten().map(|a| Transition {
                     epoch,
-                    action: text,
-                    critical_core: posture.placement.critical_core,
-                    critical_freq_mhz: posture
-                        .freq_of(posture.placement.critical_core)
-                        .get()
-                        .round() as u64,
-                });
+                    action: a.to_string(),
+                    critical_core,
+                    critical_freq_mhz,
+                }));
             }
+            let (mut epoch_busy_ns, mut epoch_completed) = (0, 0);
 
             let critical_at_risk = crit_slo > 0
                 && states[crit_idx].hist.count() >= 20
@@ -543,7 +352,7 @@ impl ServeSim {
                 let arr_key = arrivals
                     .get(next_arrival)
                     .map(|a| (a.time, a.stream, a.seq));
-                let use_pending = match (arr_key, pending.peek().map(Pending::key)) {
+                let use_pending = match (arr_key, pending.keys().next().copied()) {
                     (Some(a), Some(p)) => p < a,
                     (None, Some(_)) => true,
                     (Some(_), None) => false,
@@ -551,10 +360,10 @@ impl ServeSim {
                 };
                 // If the earlier of the two is past the epoch, both are.
                 let req = if use_pending {
-                    if pending.peek().expect("peeked").time >= epoch_end {
+                    if pending.first_key_value().expect("peeked").1.time >= epoch_end {
                         break;
                     }
-                    pending.pop().expect("peeked")
+                    pending.pop_first().expect("peeked").1
                 } else {
                     let a = arrivals[next_arrival];
                     if a.time >= epoch_end {
@@ -578,36 +387,15 @@ impl ServeSim {
                 }
                 let now = req.time;
                 rec.advance_to(SimTime::from_nanos(now));
-
-                // Target core: critical pinned; background to the live
-                // core with the least backlog (ties to the lowest id).
-                let core = match spec.class {
-                    StreamClass::Critical => posture.placement.critical_core,
-                    StreamClass::Background => {
-                        let bg_cap = cfg
-                            .serving_cores
-                            .map_or(usize::MAX, |n| (n as usize).saturating_sub(1));
-                        let live = posture
-                            .placement
-                            .background_cores
-                            .iter()
-                            .take(bg_cap)
-                            .filter(|c| posture.freq_of(**c).get() > 0.0)
-                            .min_by_key(|c| (free_at.get(c).copied().unwrap_or(0), c.flat_index()))
-                            .copied();
-                        match live {
-                            Some(c) => c,
-                            None => {
-                                // Whole background tier gated: nothing can
-                                // serve this request.
-                                state.shed += 1;
-                                rec.incr("serve.shed", 1);
-                                continue;
-                            }
-                        }
-                    }
+                // A dead chip, or a fully gated background tier, cannot
+                // serve the request.
+                let critical = spec.class == StreamClass::Critical;
+                let Some(core) = chip.route(critical, bg_cap).filter(|_| !dead) else {
+                    state.shed += 1;
+                    rec.incr("serve.shed", 1);
+                    continue;
                 };
-                let backlog = free_at.get(&core).copied().unwrap_or(0).saturating_sub(now);
+                let backlog = chip.drains_at(core).saturating_sub(now);
                 let verdict =
                     cfg.admission
                         .decide(spec.class, backlog, req.defers, critical_at_risk);
@@ -615,7 +403,7 @@ impl ServeSim {
                     rec.record(TelemetryEvent::Admission(AdmissionDecision {
                         t: rec.now(),
                         stream: req.stream as u32,
-                        critical: spec.class == StreamClass::Critical,
+                        critical,
                         verdict: match verdict {
                             Admission::Accept => AdmissionVerdict::Accept,
                             Admission::Defer => AdmissionVerdict::Defer,
@@ -640,7 +428,7 @@ impl ServeSim {
                             state.shed += 1;
                             rec.incr("serve.shed", 1);
                         } else {
-                            pending.push(d);
+                            pending.insert(d.key(), d);
                         }
                         continue;
                     }
@@ -649,26 +437,21 @@ impl ServeSim {
                     }
                 }
 
-                let freq = posture.freq_of(core);
-                let service = profiles[req.stream]
-                    .sample(&spec.workload, freq, baseline, req.draw)
-                    .get()
-                    .round()
-                    .max(1.0) as u64;
-                let start = now.max(free_at.get(&core).copied().unwrap_or(0));
-                let finish = start + service;
-                free_at.insert(core, finish);
+                let (service, finish) = chip.serve(
+                    core,
+                    &ChipRequest {
+                        at: now,
+                        critical,
+                        draw: req.draw,
+                    },
+                    &spec.workload,
+                    &profiles[req.stream],
+                );
                 let fin = finishes.entry(core).or_default();
                 fin.retain(|&f| f > now);
                 fin.push(finish);
                 state.max_queue_depth = state.max_queue_depth.max(fin.len() as u64);
-
                 let latency = finish - req.orig;
-                if adapter.enabled() && spec.class == StreamClass::Critical {
-                    let freq_khz = (freq.get() * 1_000.0).round() as u64;
-                    let baseline_khz = (baseline.get() * 1_000.0).round() as u64;
-                    adapter.on_service(spec.workload.name(), freq_khz, baseline_khz, service);
-                }
                 rec.observe("serve.latency_ns", latency);
                 state.hist.record(latency);
                 state.epoch_hist.record(latency);
@@ -680,13 +463,9 @@ impl ServeSim {
                 }
             }
 
-            let powered = posture
-                .core_freqs
-                .iter()
-                .filter(|(_, f)| f.get() > 0.0)
-                .count() as u32;
-            meter.observe_epoch(measured_mw, powered, epoch_busy_ns);
-            meter.add_requests(epoch_completed);
+            if !dead {
+                chip.close(epoch_busy_ns, epoch_completed);
+            }
 
             for state in &mut states {
                 state.epoch_p99.push(state.epoch_hist.quantile(0.99));
@@ -695,7 +474,7 @@ impl ServeSim {
         }
 
         // Anything still deferred past the horizon was never served.
-        for p in pending.into_vec() {
+        for p in pending.into_values() {
             states[p.stream].shed += 1;
             rec.incr("serve.shed", 1);
         }
@@ -728,35 +507,12 @@ impl ServeSim {
             completed: streams.iter().map(|s| s.completed).sum(),
             shed: streams.iter().map(|s| s.shed).sum(),
             deferred: streams.iter().map(|s| s.deferred).sum(),
-            critical_core: posture.placement.critical_core,
+            critical_core: chip.posture.placement.critical_core,
             transitions,
             streams,
-            adapt: adapter.report(),
-            energy: meter.report(),
-            cap: cap.map(|(_, _, report)| report),
+            adapt: chip.adapter.report(),
+            energy: chip.meter.expect("the run always meters energy").report(),
+            cap: chip.cap.map(|c| c.report),
         }
     }
-}
-
-/// Steps the posture's background throttle `extra` rungs further down
-/// the ladder, applies it, and re-measures the settled frequencies.
-fn apply_extra_throttle(
-    mgr: &mut AtmManager,
-    posture: &mut ServePosture,
-    extra: usize,
-    pstates: &PStateTable,
-    proc: ProcId,
-) {
-    let Some(mut plan) = posture.placement.plan.clone() else {
-        return;
-    };
-    for _ in 0..extra {
-        match plan.step_down(pstates) {
-            Some(next) => plan = next,
-            None => break,
-        }
-    }
-    plan.apply(mgr.system_mut());
-    posture.placement.plan = Some(plan);
-    posture.core_freqs = mgr.measure_core_freqs(proc);
 }

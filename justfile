@@ -1,7 +1,7 @@
 # Common development tasks. `just ci` is the gate PRs must pass.
 
 # Formatting + release build (incl. examples and benches) + tests +
-# bench smoke + warning-free workspace clippy over all targets +
+# benchmark smoke + warning-free workspace clippy over all targets +
 # warning-free rustdoc (mirrors ci.sh).
 ci:
     cargo fmt --check
@@ -9,7 +9,8 @@ ci:
     cargo build --release --examples
     cargo build --release --benches
     cargo test -q
-    cargo bench -p atm-bench --bench simperf -- --test
+    cargo run -q --release --offline --manifest-path atmbench/Cargo.toml -- --test
+    cargo test -q --offline --manifest-path atmbench/Cargo.toml
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     just chaos
@@ -69,17 +70,3 @@ test-all:
 determinism:
     cargo test --test determinism
     cargo test --test serving
-
-# Serial vs parallel characterization + memoized-rerun speedups.
-bench-parallel:
-    cargo bench -p atm-bench --bench parallel_charact
-
-# Serving throughput and tail latency vs deployment size.
-bench-serve:
-    cargo bench -p atm-bench --bench serve_throughput
-
-# Hot-path throughput trajectory: re-measures the stress-deploy and
-# serving scenarios and refreshes BENCH_simperf.json (the `before`
-# column is preserved from the pre-overhaul capture).
-perf:
-    cargo bench -p atm-bench --bench simperf

@@ -238,3 +238,47 @@ fn failures_on_background_cores_leave_the_critical_core_alone() {
     // The critical stream still meets its SLO.
     assert!(report.critical().slo_met());
 }
+
+/// A whole-chip hard fail ends service: from the kill epoch on nothing is
+/// dispatched and every request counts as shed, while the epochs before
+/// it serve exactly as a clean run does.
+#[test]
+fn chip_hard_fail_stops_dispatch_and_sheds_every_later_request() {
+    use power_atm::faults::{chip_killer, CampaignHook};
+    /// Hook ticks per epoch: one 1 µs harvest trial of `ServeConfig::quick`.
+    const TICKS_PER_EPOCH: u64 = 20;
+    const KILL_EPOCH: usize = 4;
+    let clean = run(SEED, 1);
+    let mut s = sim(SEED);
+    s.set_fault_hook(Box::new(CampaignHook::resolve(
+        &chip_killer(KILL_EPOCH as u64 * TICKS_PER_EPOCH + 5),
+        SEED,
+        0,
+    )));
+    let report = s.run(1, &mut NullRecorder);
+
+    assert!(report.completed > 0, "the chip served before it died");
+    assert!(report.completed < clean.completed);
+    assert!(report.shed > clean.shed);
+    for (killed, clean) in report.streams.iter().zip(&clean.streams) {
+        assert_eq!(
+            killed.offered,
+            killed.completed + killed.shed,
+            "{}: every offered request is completed or shed",
+            killed.name
+        );
+        assert_eq!(killed.offered, clean.offered, "{}", killed.name);
+        assert_eq!(
+            killed.epoch_p99_ns[..KILL_EPOCH],
+            clean.epoch_p99_ns[..KILL_EPOCH],
+            "{}: the epochs before the kill serve as a clean run does",
+            killed.name
+        );
+        assert!(
+            killed.epoch_p99_ns[KILL_EPOCH..].iter().all(|&p| p == 0),
+            "{}: completions after the kill: {:?}",
+            killed.name,
+            killed.epoch_p99_ns
+        );
+    }
+}
